@@ -332,6 +332,12 @@ class BilinearEvaluator:
             feasible=True,
         )
 
+    def evaluate_heuristics_fresh(self, requests) -> list[LowerLevelOutcome]:
+        """Uncached evaluations in request order — the pipeline's batch
+        entry point.  Scoring is one vector per request, so there is no
+        greedy loop to run in lockstep."""
+        return [self.evaluate_heuristic_fresh(p, fn) for p, fn in requests]
+
     def evaluate_heuristic(self, prices, score_fn) -> LowerLevelOutcome:
         key = self.heuristic_key(prices, score_fn) if self.memo is not None else None
         if key is not None:

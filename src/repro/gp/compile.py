@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -160,7 +160,7 @@ class CompiledProgram:
         instrs: tuple[_Instr, ...],
         regs: list[np.ndarray | None],
         ctx: Any,
-        n: int,
+        shape: tuple[int, ...],
     ) -> None:
         for ins in instrs:
             fn = ins.fn
@@ -171,18 +171,26 @@ class CompiledProgram:
                 assert fn is not None
                 regs[ins.dest] = np.asarray(fn(ctx), dtype=np.float64)
             else:  # _OP_CONST
-                regs[ins.dest] = np.full(n, ins.value)
+                regs[ins.dest] = np.full(shape, ins.value)
 
     def evaluate(self, ctx: Any) -> np.ndarray:
         """Score all bundles of ``ctx`` — bit-identical to the interpreter.
 
-        When ``ctx`` carries an ``extras`` dict (a
-        :class:`repro.covering.greedy.GreedyContext`), the static register
-        bank is computed on the first call of the solve and replayed on
-        every subsequent greedy step; contexts without ``extras`` (e.g.
-        the bilinear toy's) simply evaluate everything each call.
+        The scores take the shape of ``ctx.costs``: ``(n,)`` for one
+        greedy context, ``(B, n)`` for the
+        :class:`repro.covering.greedy.LockstepContext` of B solves, whose
+        features are ``(B, n)`` rows or ``(n,)``/``(B, 1)`` arrays that
+        broadcast against them.  Every primitive is elementwise IEEE
+        arithmetic, so row ``i`` of a lockstep score matrix is
+        bit-identical to scoring solve ``i``'s own context.
+
+        When ``ctx`` carries an ``extras`` dict, the static register bank
+        is computed on the first call of the solve and replayed on every
+        subsequent greedy step; contexts without ``extras`` (e.g. the
+        bilinear toy's) simply evaluate everything each call.
         """
-        n = int(ctx.costs.shape[0])
+        shape: tuple[int, ...] = tuple(ctx.costs.shape)
+        n = shape[-1]
         extras = getattr(ctx, "extras", None)
         cacheable = isinstance(extras, dict)
         state: tuple[Any, ...] | None = None
@@ -200,56 +208,19 @@ class CompiledProgram:
         with np.errstate(all="ignore"):
             if state is None:
                 regs = [None] * self.n_regs
-                self._run(self.static_instrs, regs, ctx, n)
+                self._run(self.static_instrs, regs, ctx, shape)
                 if cacheable:
                     extras[_STATE_KEY] = (self, n, list(regs))
             else:
                 regs = list(state[2])
-            self._run(self.dynamic_instrs, regs, ctx, n)
+            self._run(self.dynamic_instrs, regs, ctx, shape)
         result = regs[self.root]
         assert result is not None
-        if result.shape != (n,):
-            result = np.broadcast_to(result, (n,)).astype(np.float64)
+        if result.shape != shape:
+            result = np.broadcast_to(result, shape).astype(np.float64)
         return result
 
     __call__ = evaluate
-
-    def evaluate_stacked(self, ctxs: Sequence[Any]) -> np.ndarray:
-        """One vectorized sweep over many contexts: ``(B, n)`` scores.
-
-        The population×instances×items bench path: every instruction
-        operates on a ``(B, n)`` feature matrix instead of ``(n,)``, so
-        a whole batch of instances is scored per numpy dispatch.
-        Elementwise IEEE ops are computed per element, so row ``i`` is
-        bit-identical to ``self.evaluate(ctxs[i])``.
-        """
-        if not ctxs:
-            return np.zeros((0, 0))
-        n = int(ctxs[0].costs.shape[0])
-        b = len(ctxs)
-        regs: list[np.ndarray | None] = [None] * self.n_regs
-        with np.errstate(all="ignore"):
-            for ins in self.static_instrs + self.dynamic_instrs:
-                fn = ins.fn
-                if ins.op == _OP_CALL:
-                    assert fn is not None
-                    regs[ins.dest] = fn(*(regs[a] for a in ins.args))
-                elif ins.op == _OP_LOAD:
-                    assert fn is not None
-                    rows = []
-                    for ctx in ctxs:
-                        row = np.asarray(fn(ctx), dtype=np.float64)
-                        if row.shape != (n,):
-                            row = np.broadcast_to(row, (n,)).astype(np.float64)
-                        rows.append(row)
-                    regs[ins.dest] = np.stack(rows)
-                else:  # _OP_CONST
-                    regs[ins.dest] = np.full((b, n), ins.value)
-        result = regs[self.root]
-        assert result is not None
-        if result.shape != (b, n):
-            result = np.broadcast_to(result, (b, n)).astype(np.float64)
-        return result
 
 
 def compile_tree(tree: SyntaxTree) -> CompiledProgram:

@@ -68,22 +68,24 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
+# The protected ops set no floating-point error state of their own (an
+# ``errstate`` per call cost more than the arithmetic): every caller —
+# ``SyntaxTree.evaluate``, ``CompiledProgram``, constant folding — runs
+# them under ``np.errstate(all="ignore")``.
+
+
 def _protected_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a / b`` with divisor protection: |b| < eps yields 1.0."""
+    """``a / b`` with divisor protection: |b| < eps (or nan) yields 1.0."""
     b = np.asarray(b, dtype=np.float64)
-    safe = np.abs(b) > _PROTECT_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.divide(a, np.where(safe, b, 1.0))
-    return np.where(safe, out, 1.0)
+    out = np.ones(np.broadcast(a, b).shape)
+    return cast(np.ndarray, np.divide(a, b, out=out, where=np.abs(b) > _PROTECT_EPS))
 
 
 def _protected_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``fmod(a, b)`` with divisor protection: |b| < eps yields 0.0."""
+    """``fmod(a, b)`` with divisor protection: |b| < eps (or nan) yields 0.0."""
     b = np.asarray(b, dtype=np.float64)
-    safe = np.abs(b) > _PROTECT_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.fmod(a, np.where(safe, b, 1.0))
-    return np.where(safe, out, 0.0)
+    out = np.zeros(np.broadcast(a, b).shape)
+    return cast(np.ndarray, np.fmod(a, b, out=out, where=np.abs(b) > _PROTECT_EPS))
 
 
 def _t_cost(ctx: Any) -> np.ndarray:

@@ -209,22 +209,6 @@ class TestDifferentialRandomTrees:
         assert_bitwise_equal(a, b)
         assert compile_tree(tree).key == clone.serialize()
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 1_000_000))
-    def test_evaluate_stacked_rows_match(self, seed):
-        tree = random_tree(seed)
-        prog = compile_tree(tree)
-        ctxs = [
-            GreedyContext.fresh(random_covering(s, n_services=3, n_bundles=8))
-            for s in range(seed % 3 + 2)
-        ]
-        stacked = prog.evaluate_stacked(ctxs)
-        assert stacked.shape == (len(ctxs), 8)
-        for i, ctx in enumerate(ctxs):
-            assert_bitwise_equal(
-                stacked[i].copy(), prog(GreedyContext.fresh(ctx.instance))
-            )
-
 
 class TestGreedyEquivalence:
     @settings(max_examples=60, deadline=None)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gp.nodes import Constant
 from repro.gp.primitives import (
@@ -60,6 +62,66 @@ class TestProtectedOps:
         for fn in (div.fn, mod.fn):
             out = fn(a, b)
             assert np.isfinite(out).all()
+
+
+def _reference_div(a, b):
+    """The protected division as first written: one ``np.where`` to make
+    the divisor safe, one to put the neutral value back."""
+    b = np.asarray(b, dtype=np.float64)
+    safe = np.abs(b) > 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(a, np.where(safe, b, 1.0))
+    return np.where(safe, out, 1.0)
+
+
+def _reference_mod(a, b):
+    b = np.asarray(b, dtype=np.float64)
+    safe = np.abs(b) > 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.fmod(a, np.where(safe, b, 1.0))
+    return np.where(safe, out, 0.0)
+
+
+_EDGES = [0.0, -0.0, 1e-12, -1e-12, 1e-9, -1e-9, np.inf, -np.inf, np.nan,
+          5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e308, -1e308]
+_VALUES = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _operand(draw, shape):
+    if shape == ():
+        return np.float64(draw(_VALUES))
+    values = draw(st.lists(_VALUES, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Scalar/array operands in every broadcasting combination the
+    interpreter and the compiled kernel produce: (n,) vs (n,), scalar vs
+    (n,), (B, 1) vs (n,), (B, n) vs (n,), scalar vs scalar."""
+    n = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 4))
+    shapes = draw(st.sampled_from([
+        ((n,), (n,)), ((), (n,)), ((n,), ()), ((), ()),
+        ((b, 1), (n,)), ((n,), (b, 1)), ((b, n), (n,)), ((b, n), (b, n)),
+    ]))
+    return _operand(draw, shapes[0]), _operand(draw, shapes[1])
+
+
+class TestProtectedOpsMatchReference:
+    """Bitwise equality with the two-``where`` formulation, including NaN
+    payload positions, signed zeros, subnormals and infinities."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_operand_pairs())
+    def test_div_and_mod_bitwise(self, pair):
+        a, b = pair
+        for name, reference in (("div", _reference_div), ("mod", _reference_mod)):
+            with np.errstate(all="ignore"):
+                got = np.asarray(lookup_primitive(name).fn(a, b))
+                want = np.asarray(reference(a, b))
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, a, b)
 
 
 class TestRegistry:
